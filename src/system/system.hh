@@ -82,10 +82,11 @@ struct SystemConfig
      */
     bool collectTileWeights = false;
     /**
-     * Use stateless interleaved page homing (page % nodes) instead of
-     * first-touch. Forced on when shards > 1 (see FirstTouchMap); opt-in
-     * for serial runs that want an apples-to-apples wall-clock baseline
-     * against a sharded run of the same config (bench/parallel_kernel).
+     * Use stateless interleaved page homing (a hash of the page index)
+     * instead of first-touch. Forced on when shards > 1 (see
+     * FirstTouchMap); opt-in for serial runs that want an apples-to-apples
+     * wall-clock baseline against a sharded run of the same config
+     * (perfbench's traced radix pass).
      */
     bool interleavedPages = false;
 };

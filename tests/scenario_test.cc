@@ -18,6 +18,19 @@
 
 namespace sbulk
 {
+namespace atrace
+{
+
+// Print a ScenarioSuite parameter by name: the default pointer printout
+// puts a per-run load address into the registered test names.
+void
+PrintTo(const ScenarioSpec* spec, std::ostream* os)
+{
+    *os << spec->name;
+}
+
+} // namespace atrace
+
 namespace
 {
 

@@ -17,6 +17,15 @@
 
 namespace sbulk
 {
+
+// Print an AppFootprint parameter by name: the default pointer printout
+// puts a per-run load address into the registered test names.
+void
+PrintTo(const AppSpec* app, std::ostream* os)
+{
+    *os << app->name;
+}
+
 namespace
 {
 

@@ -80,7 +80,7 @@ usage(int code)
         "  --jobs N               explore N seeds concurrently (0 = all\n"
         "                         cores); output is byte-identical to "
         "--jobs 1\n"
-        "  --trace LIST           enable trace categories "
+        "  --debug LIST           enable debug trace categories "
         "(commit,group,...)\n"
         "  --replay-seed N        deterministically re-run one seed\n"
         "  --replay-prefix N      ... honoring only the first N schedule\n"
@@ -188,7 +188,7 @@ parseArgs(int argc, char** argv)
             opt.keepGoing = true;
         } else if (!std::strcmp(a, "--replay-seed")) {
             opt.replaySeed = std::strtoull(need(i), nullptr, 10);
-        } else if (!std::strcmp(a, "--trace")) {
+        } else if (!std::strcmp(a, "--debug")) {
             if (!trace::enableList(need(i))) {
                 std::fprintf(stderr, "unknown trace category\n");
                 usage(2);

@@ -98,7 +98,7 @@ usage(int code)
         "  --rotation N               leader-rotation interval, cycles\n"
         "  --retry-delay N            commit retry backoff base (cycles)\n"
         "  --csv                      one CSV row instead of the report\n"
-        "  --trace CATS               trace categories to stderr\n"
+        "  --debug CATS               debug trace categories to stderr\n"
         "                             (commit,group,inv,squash,read or all)\n"
         "  --histogram                also print the commit-latency histogram\n"
         "  --stats                    dump every component's statistics\n"
@@ -186,7 +186,7 @@ parseArgs(int argc, char** argv)
         } else if (!std::strcmp(a, "--retry-delay")) {
             opt.proto.commitRetryDelay =
                 std::strtoull(need(i), nullptr, 10);
-        } else if (!std::strcmp(a, "--trace")) {
+        } else if (!std::strcmp(a, "--debug")) {
             if (!trace::enableList(need(i))) {
                 std::fprintf(stderr, "unknown trace category\n");
                 usage(2);
