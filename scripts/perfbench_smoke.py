@@ -7,8 +7,8 @@ Runs perfbench/run.py for one second on each workload untraced, and once
 traced on radix-256p-sharded (which compares every traced op with its
 untraced twin). run.py exits 0 whenever it produced a result, even one that
 says "correct": false, so this reads the last line of each run and fails
-unless the result is correct and its failed ops stay within the workload's
-cap below.
+unless the result is correct and its failed ops (and, untraced, its peak
+RSS) stay within the workload's caps below.
 """
 
 import json
@@ -26,10 +26,19 @@ MAX_FAILED = {
     "radix-256p-sharded": 0,
     "check-faulted-4p": 4,
 }
+# Peak resident set per workload, MB: about twice what one pass needs
+# (35 / 131 / 19 MB on a 4-CPU x86-64 host). A message leak across System
+# lifetimes grew these to 666 / 328 / 537 MB, so a returning leak trips
+# the cap long before it is that large.
+MAX_RSS_MB = {
+    "matrix-64p": 70,
+    "radix-256p-sharded": 260,
+    "check-faulted-4p": 40,
+}
 RUNS = [(w, 0) for w in MAX_FAILED] + [("radix-256p-sharded", 1)]
 
 
-def check(workload, last_line):
+def check(workload, trace, last_line):
     """Problems with one run's result line; empty when it passes."""
     try:
         res = json.loads(last_line)
@@ -41,6 +50,11 @@ def check(workload, last_line):
     failed = res.get("failed")
     if not isinstance(failed, int) or failed > MAX_FAILED[workload]:
         problems.append(f"failed = {failed}, cap {MAX_FAILED[workload]}")
+    # A traced result reports the per-layer metrics, not peak_rss_mb.
+    rss = res.get("metrics", {}).get("peak_rss_mb", {}).get("value")
+    if not trace and (not isinstance(rss, (int, float))
+                      or rss > MAX_RSS_MB[workload]):
+        problems.append(f"peak_rss_mb = {rss}, cap {MAX_RSS_MB[workload]}")
     return problems
 
 
@@ -55,7 +69,7 @@ def main():
                               text=True)
         lines = proc.stdout.strip().splitlines()
         print(proc.stdout, end="", flush=True)
-        problems = check(workload, lines[-1] if lines else "")
+        problems = check(workload, trace, lines[-1] if lines else "")
         if proc.returncode != 0:
             problems.append(f"run.py exited with {proc.returncode}")
         for p in problems:

@@ -150,8 +150,9 @@ FaultTransport::wireDelayed(MessagePtr msg, Tick delay)
         wire(std::move(msg));
         return;
     }
-    Message* raw = msg.release();
-    eq().scheduleIn(delay, [this, raw] { wire(MessagePtr(raw)); });
+    eq().scheduleIn(delay, [this, m = std::move(msg)]() mutable {
+        wire(std::move(m));
+    });
 }
 
 void

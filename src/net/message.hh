@@ -4,6 +4,12 @@
  *
  * Protocol payloads subclass Message; the network treats messages opaquely
  * and only looks at routing fields, size, and traffic class.
+ *
+ * Ownership: a message always has exactly one owner, a MessagePtr. While
+ * in flight that owner is the event closure carrying it to its next hop or
+ * its destination handler, so destroying an EventQueue (or cancelling the
+ * event) frees the messages it still holds. Messages come from the global
+ * allocator.
  */
 
 #ifndef SBULK_NET_MESSAGE_HH
@@ -120,17 +126,6 @@ struct Message
     {
         return std::make_unique<Message>(*this);
     }
-
-    /**
-     * Messages are the simulator's highest-churn heap objects (one or more
-     * per protocol hop), so they allocate from a thread-local size-bucketed
-     * pool instead of the global heap. Thread-local keeps parallel sweep
-     * workers contention-free; blocks may migrate between threads' pools,
-     * which is harmless since buckets are sized identically everywhere.
-     */
-    static void* operator new(std::size_t size);
-    static void operator delete(void* p) noexcept;
-    static void operator delete(void* p, std::size_t) noexcept;
 };
 
 /** First message kind available to commit protocols. */

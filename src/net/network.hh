@@ -227,7 +227,7 @@ class Network
      * Route deliveries through per-shard keyed queues and cross-shard
      * channels. @p queues holds one keyed EventQueue per shard; none of
      * the three referents are owned. Serial mode (never calling this)
-     * keeps the original single-queue code paths byte-identical.
+     * schedules every delivery on the single global queue.
      */
     void
     configureShards(const ShardPlan* plan, std::vector<EventQueue*> queues,
@@ -318,10 +318,14 @@ class Network
         return lookahead();
     }
 
-    /** Extra delivery delay for @p msg (0 without a jitter hook). */
+    /** Extra delivery delay for @p msg (0 without a jitter hook). Jitter
+     *  hooks are serial-only: their per-channel state is unsynchronized. */
     Tick jitterFor(const Message& msg) const
     {
-        return _jitter ? _jitter(msg) : 0;
+        if (!_jitter)
+            return 0;
+        SBULK_ASSERT(!sharded(), "delivery jitter under --shards");
+        return _jitter(msg);
     }
 
     /**
@@ -522,9 +526,9 @@ class TorusNetwork : public Network
      * tick the message reaches the router (per-link FIFO — the protocols
      * depend on the point-to-point ordering this implies); delivers on
      * arrival at the destination. Allocation-free: the continuation
-     * captures only {this, msg} and the cursor lives in the message.
+     * owns only {this, msg} and the cursor lives in the message.
      */
-    void route(Message* msg);
+    void route(MessagePtr msg);
 
     TorusConfig _cfg;
     std::uint32_t _width = 0;

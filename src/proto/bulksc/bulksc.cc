@@ -27,9 +27,8 @@ BkArbiter::onArbRequest(MessagePtr msg)
     _ctx.metrics.addForming(1);
     const Tick start = std::max(_ctx.eq.now(), _nextFree);
     _nextFree = start + _ctx.cfg.arbiterServiceTime;
-    Message* raw = msg.release();
-    _ctx.eq.schedule(_nextFree, [this, raw] {
-        process(MessagePtr(raw));
+    _ctx.eq.schedule(_nextFree, [this, m = std::move(msg)]() mutable {
+        process(std::move(m));
     });
 }
 

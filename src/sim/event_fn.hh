@@ -5,12 +5,18 @@
  * std::function is the natural type for event callbacks, but it pays an
  * indirect "manager" call on every move and destruction — and the event
  * kernel moves each callback at least twice (into the slab, back out at
- * dispatch). Every hot callback in the simulator is a small trivially
- * copyable lambda ([this] plus a few scalars), for which EventFn stores the
- * closure inline and moves it with a plain memcpy: no manager, no
+ * dispatch). Most hot callbacks in the simulator are small trivially
+ * copyable lambdas ([this] plus a few scalars), for which EventFn stores
+ * the closure inline and moves it with a plain memcpy: no manager, no
  * allocation, one indirect call at invocation only.
  *
- * Callables that are too big or not trivially copyable (e.g. a
+ * Small move-only closures — a network hop capturing [this, MessagePtr] —
+ * are stored inline too, with a manager that relocates and destroys them.
+ * That is how an event owns what it captures: destroying an EventFn
+ * (queue teardown, cancel, a dropped cross-shard channel) destroys the
+ * closure and frees, say, the in-flight message it holds.
+ *
+ * Callables that are too big or cannot be moved without throwing (e.g. a
  * std::function passed through from a miss path) fall back to a heap box.
  */
 
@@ -30,8 +36,8 @@ namespace sbulk
 class EventFn
 {
   public:
-    /** Sized so EventFn matches std::function's 32-byte footprint while
-     *  covering [this + three scalars] captures inline. */
+    /** Covers [this + three scalars] and [this, MessagePtr] captures
+     *  inline. */
     static constexpr std::size_t kInlineBytes = 24;
 
     EventFn() = default;
@@ -77,7 +83,9 @@ class EventFn
 
   private:
     using Invoke = void (*)(void*);
-    using Drop = void (*)(void*);
+    /** Relocate the closure at @p from into @p to (move-construct, then
+     *  destroy the source), or destroy it in place when @p to is null. */
+    using Manage = void (*)(void* from, void* to);
 
     template <typename F>
     void
@@ -86,33 +94,44 @@ class EventFn
         using Fn = std::decay_t<F>;
         if constexpr (sizeof(Fn) <= kInlineBytes &&
                       alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_trivially_copyable_v<Fn> &&
-                      std::is_trivially_destructible_v<Fn>) {
+                      std::is_nothrow_move_constructible_v<Fn>) {
             ::new (static_cast<void*>(_store)) Fn(std::forward<F>(f));
-            // moveFrom copies the whole buffer; defined-initialize the
-            // tail so that copy never reads indeterminate bytes.
-            if constexpr (sizeof(Fn) < kInlineBytes)
-                std::memset(_store + sizeof(Fn), 0,
-                            kInlineBytes - sizeof(Fn));
             _invoke = [](void* p) { (*static_cast<Fn*>(p))(); };
-            _drop = nullptr;
+            if constexpr (std::is_trivially_copyable_v<Fn> &&
+                          std::is_trivially_destructible_v<Fn>) {
+                // moveFrom copies the whole buffer; defined-initialize
+                // the tail so that copy never reads indeterminate bytes.
+                if constexpr (sizeof(Fn) < kInlineBytes)
+                    std::memset(_store + sizeof(Fn), 0,
+                                kInlineBytes - sizeof(Fn));
+                _manage = nullptr;
+            } else {
+                _manage = [](void* from, void* to) {
+                    Fn* src = static_cast<Fn*>(from);
+                    if (to)
+                        ::new (to) Fn(std::move(*src));
+                    src->~Fn();
+                };
+            }
         } else {
             // The one owning raw new in the tree: the pointer is erased
             // into the inline buffer, so no smart pointer can hold it.
-            // _drop is its deleter; ASan guards the pairing.
+            // _manage is its deleter; ASan guards the pairing.
             // NOLINTNEXTLINE(cppcoreguidelines-owning-memory)
             Fn* heap = new Fn(std::forward<F>(f));
             std::memcpy(_store, &heap, sizeof(heap));
-            std::memset(_store + sizeof(heap), 0,
-                        kInlineBytes - sizeof(heap));
             _invoke = [](void* p) {
                 Fn* fn;
                 std::memcpy(&fn, p, sizeof(fn));
                 (*fn)();
             };
-            _drop = [](void* p) {
+            _manage = [](void* from, void* to) {
+                if (to) {
+                    std::memcpy(to, from, sizeof(Fn*));
+                    return;
+                }
                 Fn* fn;
-                std::memcpy(&fn, p, sizeof(fn));
+                std::memcpy(&fn, from, sizeof(fn));
                 // NOLINTNEXTLINE(cppcoreguidelines-owning-memory)
                 delete fn;
             };
@@ -123,25 +142,27 @@ class EventFn
     moveFrom(EventFn& other)
     {
         _invoke = other._invoke;
-        _drop = other._drop;
-        // Inline closures are trivially copyable by construction and the
-        // heap case stores a raw pointer, so a byte copy is a real move.
-        std::memcpy(_store, other._store, kInlineBytes);
+        _manage = other._manage;
+        // Trivially copyable closures (and the empty state) move as bytes.
+        if (_manage)
+            _manage(other._store, _store);
+        else
+            std::memcpy(_store, other._store, kInlineBytes);
         other._invoke = nullptr;
-        other._drop = nullptr;
+        other._manage = nullptr;
     }
 
     void
     reset()
     {
-        if (_drop)
-            _drop(_store);
+        if (_manage)
+            _manage(_store, nullptr);
         _invoke = nullptr;
-        _drop = nullptr;
+        _manage = nullptr;
     }
 
     Invoke _invoke = nullptr;
-    Drop _drop = nullptr;
+    Manage _manage = nullptr;
     alignas(std::max_align_t) unsigned char _store[kInlineBytes];
 };
 

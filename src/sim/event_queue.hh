@@ -224,8 +224,10 @@ class EventQueue
     /**
      * Schedule @p fn to run at absolute time @p when.
      *
-     * Accepts any void() callable; small trivially-copyable closures are
-     * stored inline in the slab (see EventFn).
+     * Accepts any void() callable; small closures, including move-only
+     * ones that own a message, are stored inline in the slab (see
+     * EventFn). The queue owns the closure until it runs or is cancelled;
+     * destroying the queue destroys every pending closure.
      *
      * @param when Absolute tick; must be >= now().
      * @param fn Callback to invoke.

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "check/scheduler.hh"
@@ -130,6 +132,88 @@ TEST(EventQueue, ReturnsNumberExecuted)
     for (int i = 0; i < 10; ++i)
         eq.schedule(Tick(i), [] {});
     EXPECT_EQ(eq.run(), 10u);
+}
+
+/** Instances alive; held through a unique_ptr so Owning is move-only. */
+int liveTokens = 0;
+
+struct Token
+{
+    Token() { ++liveTokens; }
+    Token(const Token&) = delete;
+    Token& operator=(const Token&) = delete;
+    ~Token() { --liveTokens; }
+};
+
+/**
+ * A move-only event closure the size of a network hop ([this, owner]).
+ * Its class-specific operator new counts heap boxing: EventFn must keep
+ * such a closure inline, where only placement new constructs it.
+ */
+struct Owning
+{
+    int* fired;
+    std::unique_ptr<Token> token = std::make_unique<Token>();
+
+    void operator()() { ++*fired; }
+
+    static inline int boxed = 0;
+    static void*
+    operator new(std::size_t n)
+    {
+        ++boxed;
+        return ::operator new(n);
+    }
+    static void operator delete(void* p) { ::operator delete(p); }
+};
+
+class MoveOnlyEvent : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        liveTokens = 0;
+        Owning::boxed = 0;
+    }
+    int fired = 0;
+};
+
+TEST_F(MoveOnlyEvent, DestroyedOnCancel)
+{
+    EventQueue eq;
+    const auto h = eq.schedule(10, Owning{&fired});
+    EXPECT_EQ(liveTokens, 1);
+    eq.cancel(h);
+    EXPECT_EQ(liveTokens, 0);
+    eq.run();
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(Owning::boxed, 0) << "closure was heap-boxed, not inline";
+}
+
+TEST_F(MoveOnlyEvent, DestroyedOnDispatch)
+{
+    EventQueue eq;
+    eq.schedule(10, Owning{&fired});
+    eq.schedule(2000, Owning{&fired}); // far future: the heap, not the ring
+    eq.run();
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(liveTokens, 0);
+    EXPECT_EQ(Owning::boxed, 0) << "closure was heap-boxed, not inline";
+}
+
+TEST_F(MoveOnlyEvent, DestroyedWithQueue)
+{
+    {
+        EventQueue eq;
+        // Enough events to grow the slab, relocating the pending ones.
+        for (int i = 0; i < 100; ++i)
+            eq.schedule(Tick(1 + i % 7), Owning{&fired});
+        EXPECT_EQ(liveTokens, 100);
+    }
+    EXPECT_EQ(liveTokens, 0);
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(Owning::boxed, 0) << "closure was heap-boxed, not inline";
 }
 
 TEST(EventQueue, CancelAfterRunIsStaleAndPendingStaysExact)

@@ -1,5 +1,6 @@
-# Fails when a tool's --help lists the same long flag twice: the parser
-# matches flags first-come, so the second entry can never be reached.
+# Fails when a tool's --help does not exit 0, or lists the same long flag
+# twice: the parser matches flags first-come, so the second entry can never
+# be reached.
 #
 #   cmake -DTOOL=<path to tool> -P help_flags.cmake
 #
@@ -10,7 +11,10 @@
 cmake_minimum_required(VERSION 3.16)
 
 execute_process(COMMAND "${TOOL}" --help
-                OUTPUT_VARIABLE out ERROR_VARIABLE err)
+                OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${TOOL} --help exited with ${rc}, not 0")
+endif()
 string(APPEND out "${err}")
 if(NOT out MATCHES "usage:")
     message(FATAL_ERROR "${TOOL} --help printed no usage text")

@@ -55,7 +55,7 @@ struct Options
 usage(int code)
 {
     std::fprintf(
-        stderr,
+        code == 0 ? stdout : stderr,
         "usage: sbulk-check [options]\n"
         "  --protocols P,Q        scalablebulk | tcc | seq | bulksc\n"
         "                         (default: all four)\n"

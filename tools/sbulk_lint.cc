@@ -29,7 +29,7 @@ using namespace sbulk;
 usage(int code)
 {
     std::fprintf(
-        stderr,
+        code == 0 ? stdout : stderr,
         "usage: sbulk-lint [options]\n"
         "  --protocols P,Q   audit only these protocols\n"
         "                    (scalablebulk | tcc | seq | bulksc)\n"

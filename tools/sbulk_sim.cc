@@ -65,7 +65,7 @@ struct CliOptions
 usage(int code)
 {
     std::fprintf(
-        stderr,
+        code == 0 ? stdout : stderr,
         "usage: sbulk-sim [options]\n"
         "  --list, --list-apps        list the 18 application models\n"
         "  --list-scenarios           list the serving-scenario library\n"

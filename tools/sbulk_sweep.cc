@@ -68,6 +68,21 @@ parseProtocol(const std::string& name)
     std::exit(2);
 }
 
+/** Print the synopsis (to stdout for --help) and exit with @p code. */
+[[noreturn]] void
+usage(int code)
+{
+    std::fprintf(
+        code == 0 ? stdout : stderr,
+        "usage: sbulk-sweep [--apps A,B] [--protocols P,Q] "
+        "[--procs N,M] [--chunks N] [--seed N] [--jobs N] "
+        "[--shards N] [--shard-map M] [--faults PLAN]\n"
+        "                   [--scenario S,T | --trace FILE] "
+        "[--tenants N] [--requests N]\n"
+        "                   [--list-apps] [--list-scenarios] [--help]\n");
+    std::exit(code);
+}
+
 } // namespace
 
 int
@@ -101,7 +116,9 @@ main(int argc, char** argv)
             }
             return argv[++i];
         };
-        if (!std::strcmp(a, "--apps")) {
+        if (!std::strcmp(a, "--help") || !std::strcmp(a, "-h")) {
+            usage(0);
+        } else if (!std::strcmp(a, "--apps")) {
             for (const std::string& name : split(need())) {
                 const AppSpec* app = findApp(name);
                 if (!app) {
@@ -169,15 +186,7 @@ main(int argc, char** argv)
                 return 2;
             }
         } else {
-            std::fprintf(
-                stderr,
-                "usage: sbulk-sweep [--apps A,B] [--protocols P,Q] "
-                "[--procs N,M] [--chunks N] [--seed N] [--jobs N] "
-                "[--shards N] [--shard-map M] [--faults PLAN]\n"
-                "                   [--scenario S,T | --trace FILE] "
-                "[--tenants N] [--requests N]\n"
-                "                   [--list-apps] [--list-scenarios]\n");
-            return 2;
+            usage(2);
         }
     }
     if (!scenarios.empty() && !tracePath.empty()) {

@@ -37,7 +37,7 @@ using namespace sbulk;
 usage(int code)
 {
     std::fprintf(
-        stderr,
+        code == 0 ? stdout : stderr,
         "usage: sbulk-trace COMMAND [options]\n"
         "  gen SCENARIO -o FILE   generate a serving scenario as a trace\n"
         "      [--procs N] [--tenants N] [--requests N] [--seed N] "
